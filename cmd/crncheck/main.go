@@ -72,6 +72,7 @@ import (
 
 	"crncompose/internal/core"
 	"crncompose/internal/dist"
+	"crncompose/internal/metrics"
 	"crncompose/internal/parse"
 	"crncompose/internal/progress"
 	"crncompose/internal/reach"
@@ -197,7 +198,11 @@ func run(args []string, out io.Writer) error {
 			// than silently diverge from local mode.
 			return fmt.Errorf("-maxconfigs must be >= 1 in coordinator mode")
 		}
+		// The coordinator's /metrics counts this process's spans.
+		reg := metrics.NewRegistry()
+		tr.SetOnSpan(metrics.SpanHook(reg))
 		co, cerr := dist.NewCoordinator(dist.CoordinatorConfig{
+			Metrics:    reg,
 			CRN:        c,
 			Func:       *fname,
 			Lo:         los,

@@ -26,9 +26,10 @@
 //	-coordinator-grace d
 //	                    dist-mode degradation watchdog: if the handoff cannot
 //	                    start (address taken) or no rectangle completes for
-//	                    this long (all workers lost), the job is re-run
-//	                    locally and marked "degraded" — same bytes, one
-//	                    process (default 10s; negative fails the job instead)
+//	                    this long (all workers lost), the remaining
+//	                    rectangles are finished locally and the job marked
+//	                    "degraded" — same bytes (default 10s; negative fails
+//	                    the job instead)
 //	-max-jobs n         admission budget: async jobs executing concurrently,
 //	                    each under its own cancellable context (default 2)
 //	-job-ttl d          how long terminal jobs stay in the job table before
@@ -123,7 +124,7 @@ func run(args []string, out io.Writer, ctx context.Context) error {
 		distCoord = fs.String("dist-coordinator", "", "run async jobs through a dist coordinator on this host:port (workers join with `crncheck -join`)")
 		shards    = fs.Int("shards", 0, "rectangles per async job: progress and lease granularity (0 = 16)")
 		lease     = fs.Duration("lease", dist.DefaultLeaseTTL, "dist-mode lease TTL before a silent worker's rectangle is reassigned")
-		coGrace   = fs.Duration("coordinator-grace", serve.DefaultCoordinatorGrace, "dist-mode degradation watchdog: if a handoff cannot start, or no rectangle completes for this long, the job falls back to local execution marked degraded (negative disables the fallback)")
+		coGrace   = fs.Duration("coordinator-grace", serve.DefaultCoordinatorGrace, "dist-mode degradation watchdog: if a handoff cannot start, or no rectangle completes for this long, the remaining rectangles are finished locally and the job is marked degraded (negative disables the fallback)")
 		maxJobs   = fs.Int("max-jobs", serve.DefaultMaxJobs, "async jobs executing concurrently (admission budget)")
 		jobTTL    = fs.Duration("job-ttl", serve.DefaultJobTTL, "terminal-job lifetime in the job table (negative disables expiry; done results stay cached)")
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: in-flight jobs get this long to finish on SIGINT/SIGTERM before being canceled")

@@ -35,13 +35,13 @@
 //     pipeline with a content-addressed result cache (SHA-256 of the
 //     canonical request; the engines' determinism makes replayed bytes
 //     indistinguishable from recomputation), in-flight deduplication of
-//     identical concurrent requests, and asynchronous grid jobs — executed
-//     concurrently under an admission budget on the local steal pool or
-//     handed to an internal/dist coordinator, cancellable via DELETE, and
-//     drained gracefully on SIGTERM; /v1/check bodies are byte-identical
-//     to crncheck -json; a dist handoff that cannot start or stalls past
-//     a grace window degrades to local execution — same bytes, marked
-//     "degraded" in the job status;
+//     identical concurrent requests, and asynchronous grid jobs — each an
+//     internal/dist coordinator run by an in-process worker or by external
+//     ones, concurrently under an admission budget, cancellable via
+//     DELETE, and drained gracefully on SIGTERM; /v1/check bodies are
+//     byte-identical to crncheck -json; a dist handoff that cannot start
+//     or stalls past a grace window degrades: the in-process worker
+//     finishes the remaining rectangles — same bytes, marked "degraded";
 //   - internal/httpx: the one retrying HTTP client every cross-process
 //     call in dist and serve goes through — full-jitter exponential
 //     backoff, per-attempt timeouts, a wall-clock retry budget, and the

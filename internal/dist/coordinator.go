@@ -24,6 +24,11 @@ const (
 	DefaultLeaseTTL = 30 * time.Second
 )
 
+// joinWindow covers the first two join retries of a worker refused before
+// its coordinator listened: at the default Poll they back off at most 50ms,
+// then 100ms. See Close.
+const joinWindow = 200 * time.Millisecond
+
 // CoordinatorConfig describes a distributed CheckGrid job.
 type CoordinatorConfig struct {
 	// CRN is the network under verification; its text form is shipped to
@@ -64,7 +69,8 @@ type CoordinatorConfig struct {
 	// result lands or the lease expires), a dist.merge span for the final
 	// fold, plus whatever finished spans workers ship with their results.
 	// Inject the host process's tracer (serve does) to see one trace
-	// across the request, the coordinator, and the workers.
+	// across the request, the coordinator, and the workers. Counting its
+	// spans (metrics.SpanHook) is up to whoever created it.
 	Tracer *trace.Tracer
 	// TraceContext, when valid, parents the dist.job span — the serving
 	// layer passes the span context of the request or async job that
@@ -86,7 +92,7 @@ type rectState struct {
 	worker   string      // current lease holder (status == rectLeased)
 	deadline time.Time   // lease expiry (status == rectLeased)
 	leasedAt time.Time   // when the current lease was granted (completion histogram)
-	attempts int         // times leased (for /status observability)
+	attempts int         // times leased (lease span attribute and log)
 	span     *trace.Span // open dist.lease span (status == rectLeased; nil untraced)
 	result   reach.GridResult
 	raw      json.RawMessage // wire form of result, for the checkpoint file
@@ -95,7 +101,8 @@ type rectState struct {
 
 // Coordinator shards one CheckGrid call across workers and merges their
 // rectangle results deterministically. Create with NewCoordinator, then
-// either Run (serve + wait) or Start/Wait/Shutdown separately.
+// either Run (serve + wait + Close) or Start/Wait/Close separately. Work
+// attaches an in-process worker, with or without a listener.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	job    JobSpec
@@ -111,16 +118,21 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	states    []rectState
+	doneRects int // kept by syncRectsLocked
 	finished  bool
 	merged    reach.GridResult
 	mergedErr error
 	doneCh    chan struct{}
+	changed   chan struct{}   // closed and replaced at each change (see Changed)
+	peers     map[string]bool // worker seen on the protocol -> answered Done
+	joinsDone bool            // EndJoins: unseen workers are refused
 
 	closeOnce sync.Once
 	closingCh chan struct{} // closed on Shutdown; wakes parked /lease long-polls
 
-	srv *http.Server
-	ln  net.Listener
+	srv    *http.Server
+	ln     net.Listener
+	window <-chan time.Time // fires joinWindow after Start (see Close)
 }
 
 // NewCoordinator validates the job, splits the grid, and (if configured)
@@ -181,11 +193,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		now:       time.Now,
 		states:    make([]rectState, len(rects)),
 		doneCh:    make(chan struct{}),
+		changed:   make(chan struct{}),
+		peers:     make(map[string]bool),
 		closingCh: make(chan struct{}),
 		met:       newDistMetrics(cfg.Metrics),
 		tr:        cfg.Tracer,
 	}
-	hookSpanCounters(co.met.reg, co.tr)
 	// The job root span opens before the checkpoint load: a checkpoint that
 	// already completes the run finishes inside checkFinishedLocked below,
 	// which ends this span.
@@ -262,9 +275,12 @@ func (co *Coordinator) lease(worker string) LeaseResponse {
 // context — is canceled, so a worker that hangs up (or is SIGTERMed) frees
 // its handler goroutine immediately instead of holding it for the window.
 func (co *Coordinator) leaseWait(ctx context.Context, worker string, wait time.Duration) LeaseResponse {
-	if wait > co.ttl {
-		wait = co.ttl
-	}
+	return co.awaitLease(ctx, worker, min(wait, co.ttl), co.closingCh)
+}
+
+// awaitLease is leaseWait's park; closing ends it early (nil never does:
+// the in-process worker outlives the listener).
+func (co *Coordinator) awaitLease(ctx context.Context, worker string, wait time.Duration, closing <-chan struct{}) LeaseResponse {
 	resp := co.lease(worker)
 	if wait <= 0 || !resp.Wait {
 		return resp
@@ -286,7 +302,7 @@ func (co *Coordinator) leaseWait(ctx context.Context, worker string, wait time.D
 		t := time.NewTimer(d)
 		select {
 		case <-co.doneCh:
-		case <-co.closingCh:
+		case <-closing:
 		case <-ctx.Done():
 		case <-t.C:
 		}
@@ -296,7 +312,7 @@ func (co *Coordinator) leaseWait(ctx context.Context, worker string, wait time.D
 			return resp
 		}
 		select {
-		case <-co.closingCh:
+		case <-closing:
 			return resp // shutting down; don't re-park
 		case <-ctx.Done():
 			return resp // caller gone; the answer is discarded anyway
@@ -307,16 +323,11 @@ func (co *Coordinator) leaseWait(ctx context.Context, worker string, wait time.D
 
 // Progress reports how many rectangles have completed out of the total —
 // the unit async job progress is surfaced in (internal/serve reports it for
-// jobs handed to a coordinator).
+// every job).
 func (co *Coordinator) Progress() (done, total int) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for id := range co.states {
-		if co.states[id].status == rectDone {
-			done++
-		}
-	}
-	return done, len(co.states)
+	return co.doneRects, len(co.states)
 }
 
 // renew extends worker's lease on rectID. A false response means the lease
@@ -337,19 +348,20 @@ func (co *Coordinator) renew(worker string, rectID int) RenewResponse {
 	return RenewResponse{OK: true}
 }
 
-// result records one rectangle's result. Duplicate reports (a lease expired
-// and both the old and the new holder finished) are identical by the
-// engine's determinism; the first one recorded wins and the rest are
-// acknowledged without effect. A decode failure is a protocol error.
+// result decodes and records one reported rectangle. Duplicate reports (a
+// lease expired and both the old and the new holder finished) are
+// identical by the engine's determinism; the first one recorded wins and
+// the rest are acknowledged without effect. A decode failure is a protocol
+// error. The ack says whether the job is finished, so the worker that posts
+// the last result needs no further /lease round trip.
 func (co *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if req.RectID < 0 || req.RectID >= len(co.states) {
 		return ResultResponse{}, fmt.Errorf("dist: result for unknown rect %d", req.RectID)
 	}
-	st := &co.states[req.RectID]
-	if st.status == rectDone {
-		return ResultResponse{OK: true}, nil
+	if co.states[req.RectID].status == rectDone {
+		return ResultResponse{OK: true, Done: co.finished}, nil
 	}
 	if len(req.Result) == 0 && req.Err == "" {
 		return ResultResponse{}, fmt.Errorf("dist: result for rect %d carries neither result nor error", req.RectID)
@@ -362,13 +374,6 @@ func (co *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 			return ResultResponse{}, fmt.Errorf("dist: rect %d: %w", req.RectID, err)
 		}
 	}
-	if !st.leasedAt.IsZero() {
-		// Lease grant to accepted result, on the coordinator's clock seam.
-		co.met.rectSeconds.ObserveSince(st.leasedAt, co.now())
-	}
-	leaseSC := st.span.Context()
-	st.span.End(co.now(), trace.String("outcome", "ok"))
-	st.span = nil
 	// The worker's finished spans for this rectangle join the coordinator's
 	// ring, so /debug/traces here shows the cross-process trace.
 	for i, d := range req.Spans {
@@ -377,20 +382,89 @@ func (co *Coordinator) result(req ResultRequest) (ResultResponse, error) {
 		}
 		co.tr.Record(d)
 	}
+	co.recordLocked(req.RectID, req.Worker, res, req.Result, req.Err)
+	return ResultResponse{OK: true, Done: co.finished}, nil
+}
+
+// recordLocked records rectangle id's result from worker, unless one is
+// already recorded. raw is its wire form for the checkpoint file (nil from
+// the in-process worker, whose coordinators keep no checkpoint).
+func (co *Coordinator) recordLocked(id int, worker string, res reach.GridResult, raw json.RawMessage, errMsg string) {
+	st := &co.states[id]
+	if st.status == rectDone {
+		return
+	}
+	if !st.leasedAt.IsZero() {
+		// Lease grant to accepted result, on the coordinator's clock seam.
+		co.met.rectSeconds.ObserveSince(st.leasedAt, co.now())
+	}
+	leaseSC := st.span.Context()
+	st.span.End(co.now(), trace.String("outcome", "ok"))
+	st.span = nil
 	st.status = rectDone
-	st.worker = req.Worker
+	st.worker = worker
 	st.result = res
-	st.raw = req.Result
-	st.errMsg = req.Err
+	st.raw = raw
+	st.errMsg = errMsg
 	co.syncRectsLocked()
-	trace.Logf(co.logf, leaseSC)("result: rect %d from %s: %v", req.RectID, req.Worker, res)
+	trace.Logf(co.logf, leaseSC)("result: rect %d from %s: %v", id, worker, res)
 	if co.cfg.Checkpoint != "" {
 		if err := co.saveCheckpointLocked(); err != nil {
 			co.logf("checkpoint: %v", err)
 		}
 	}
 	co.checkFinishedLocked()
-	return ResultResponse{OK: true}, nil
+	co.notifyLocked()
+}
+
+// Changed returns a channel closed at the next recorded rectangle result,
+// or nil once the merged result is available.
+func (co *Coordinator) Changed() <-chan struct{} {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if co.finished {
+		return nil
+	}
+	return co.changed
+}
+
+// saw records a worker for the drain: seen when it joins (GET /job names
+// it) or leases, answered once a lease or result ack told it Done. It
+// reports false, recording nothing, for a worker not seen before once the
+// job is finished and EndJoins was called.
+func (co *Coordinator) saw(worker string, done bool) bool {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	answered, seen := co.peers[worker]
+	if !seen && co.joinsDone && co.finished {
+		return false
+	}
+	if worker != "" && !answered {
+		co.peers[worker] = done
+		if done {
+			co.notifyLocked()
+		}
+	}
+	return true
+}
+
+// EndJoins is for a host with the next job for this coordinator's address:
+// once the job is finished, a worker not seen yet is answered 503, which it
+// retries until that next job listens, and Close no longer holds the
+// listener for such workers. Workers already seen still drain.
+func (co *Coordinator) EndJoins() {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if !co.joinsDone {
+		co.joinsDone = true
+		co.notifyLocked()
+	}
+}
+
+// notifyLocked wakes the Changed and drain waiters.
+func (co *Coordinator) notifyLocked() {
+	close(co.changed)
+	co.changed = make(chan struct{})
 }
 
 // sweepLocked reclaims expired leases so the rectangles can be reassigned.
@@ -442,16 +516,20 @@ func (co *Coordinator) checkFinishedLocked() {
 	mergeEnd := co.now()
 	co.tr.StartSpan(mergeStart, "dist.merge", co.jobSpan.Context()).End(mergeEnd,
 		trace.Int("checked", int64(co.merged.Checked)))
-	outcome := "ok"
-	switch {
-	case co.mergedErr != nil:
-		outcome = "error"
-	case co.merged.Failure != nil:
-		outcome = "failure"
-	}
-	co.jobSpan.End(mergeEnd, trace.String("outcome", outcome))
+	co.jobSpan.End(mergeEnd, trace.String("outcome", outcome(co.merged, co.mergedErr)))
 	co.finished = true
 	close(co.doneCh)
+}
+
+// outcome labels a span that produced res and err.
+func outcome(res reach.GridResult, err error) string {
+	switch {
+	case err != nil:
+		return "error"
+	case res.Failure != nil:
+		return "failure"
+	}
+	return "ok"
 }
 
 // mergeLocked folds the rectangle results in canonical grid order with the
@@ -485,6 +563,10 @@ func (co *Coordinator) mergeLocked() (reach.GridResult, error) {
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /job", func(w http.ResponseWriter, r *http.Request) {
+		if !co.saw(r.URL.Query().Get("worker"), false) {
+			http.Error(w, "dist: job finished; retry for the next one", http.StatusServiceUnavailable)
+			return
+		}
 		writeJSON(w, co.job)
 	})
 	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
@@ -492,7 +574,10 @@ func (co *Coordinator) Handler() http.Handler {
 		if !readJSON(w, r, &req) {
 			return
 		}
-		writeJSON(w, co.leaseWait(r.Context(), req.Worker, time.Duration(req.WaitMillis)*time.Millisecond))
+		co.saw(req.Worker, false)
+		resp := co.leaseWait(r.Context(), req.Worker, time.Duration(req.WaitMillis)*time.Millisecond)
+		co.saw(req.Worker, resp.Done)
+		writeJSON(w, resp)
 	})
 	mux.HandleFunc("POST /renew", func(w http.ResponseWriter, r *http.Request) {
 		var req RenewRequest
@@ -511,40 +596,14 @@ func (co *Coordinator) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		co.saw(req.Worker, resp.Done)
 		writeJSON(w, resp)
-	})
-	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, co.status())
 	})
 	mux.Handle("GET /metrics", co.met.reg.Handler())
 	if co.tr != nil {
 		mux.Handle("GET /debug/traces", co.tr.Handler())
 	}
 	return mux
-}
-
-// status is a point-in-time observability snapshot for GET /status.
-func (co *Coordinator) status() map[string]any {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	var pending, leased, done int
-	for id := range co.states {
-		switch co.states[id].status {
-		case rectPending:
-			pending++
-		case rectLeased:
-			leased++
-		case rectDone:
-			done++
-		}
-	}
-	return map[string]any{
-		"rects":    len(co.states),
-		"pending":  pending,
-		"leased":   leased,
-		"done":     done,
-		"finished": co.finished,
-	}
 }
 
 // Start listens on addr (host:port; port 0 picks a free one — see Addr) and
@@ -555,6 +614,7 @@ func (co *Coordinator) Start(addr string) error {
 		return err
 	}
 	co.ln = ln
+	co.window = time.After(joinWindow)
 	co.srv = &http.Server{Handler: co.Handler()}
 	go func() { _ = co.srv.Serve(ln) }()
 	co.logf("coordinator: serving %d rects on %s", len(co.rects), ln.Addr())
@@ -582,34 +642,107 @@ func (co *Coordinator) Wait(ctx context.Context) (reach.GridResult, error) {
 }
 
 // Shutdown stops the HTTP server, first waking any parked /lease long-polls
-// so graceful shutdown is not held up by the long-poll window.
+// so graceful shutdown is not held up by the long-poll window, then expires
+// the outstanding leases: no remote holder can report any more, so an
+// in-process worker attached afterwards computes exactly the unfinished
+// rectangles.
 func (co *Coordinator) Shutdown(ctx context.Context) error {
 	co.closeOnce.Do(func() { close(co.closingCh) })
 	if co.srv == nil {
 		return nil
 	}
-	return co.srv.Shutdown(ctx)
+	err := co.srv.Shutdown(ctx)
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for id := range co.states {
+		co.states[id].deadline = time.Time{}
+	}
+	co.sweepLocked()
+	return err
+}
+
+// Close drains, then shuts down, within one second in all; it may be
+// called concurrently, and the listener is closed when any call returns. A
+// finished job's drain lasts until every worker seen on the protocol has been
+// answered Done (a dead one holds it to the bound) and, until EndJoins,
+// the listener has been up joinWindow, so a worker refused before it
+// existed, and so never seen, has retried its join. An unfinished job
+// answers nobody Done.
+func (co *Coordinator) Close() {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	defer func() { _ = co.Shutdown(ctx) }()
+	if co.srv == nil {
+		return // never listened: no worker to drain
+	}
+	for window := co.window; ; {
+		co.mu.Lock()
+		waiting := window != nil && !co.joinsDone
+		for _, answered := range co.peers {
+			waiting = waiting || !answered
+		}
+		finished, changed := co.finished, co.changed
+		co.mu.Unlock()
+		if !finished || !waiting {
+			return
+		}
+		select {
+		case <-changed:
+		case <-window:
+			window = nil
+		case <-co.closingCh:
+			return
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 // Run serves on addr until the grid is fully checked and returns the merged
 // result — the exact GridResult a single-process reach.CheckGrid would
-// return. It lingers briefly before shutdown so polling workers observe the
-// Done response and exit cleanly.
+// return — after Close has let the polling workers hear Done.
 func (co *Coordinator) Run(ctx context.Context, addr string) (reach.GridResult, error) {
 	if err := co.Start(addr); err != nil {
 		return reach.GridResult{}, err
 	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = co.Shutdown(sctx)
-	}()
-	res, err := co.Wait(ctx)
-	if err == nil || ctx.Err() == nil {
-		// Give workers one poll cycle to see Done before the listener closes.
-		time.Sleep(200 * time.Millisecond)
+	defer co.Close()
+	return co.Wait(ctx)
+}
+
+// Work runs an in-process worker named name until the job is finished
+// (nil) or ctx ends, through the lease and record steps the HTTP handlers
+// use, with no encoding. check computes one rectangle under a context
+// carrying its dist.rect span; its error under a live ctx is recorded as an
+// enumeration error. Attached after Shutdown, which expired every remote
+// lease, it computes exactly the rectangles not yet done.
+func (co *Coordinator) Work(ctx context.Context, name string, check func(context.Context, Rect) (reach.GridResult, error)) error {
+	for ctx.Err() == nil {
+		lr := co.awaitLease(ctx, name, co.ttl, nil)
+		if lr.Done {
+			return nil
+		}
+		if lr.Rect == nil {
+			continue
+		}
+		leaseSC, _ := trace.ParseTraceparent(lr.Traceparent)
+		span := co.tr.StartSpan(co.now(), "dist.rect", leaseSC,
+			trace.Int("rect", int64(lr.Rect.ID)), trace.String("worker", name))
+		res, err := check(trace.ContextSpan(ctx, span), *lr.Rect)
+		if ctx.Err() != nil {
+			span.End(co.now(), trace.String("outcome", "canceled"))
+			break
+		}
+		span.End(co.now(), trace.String("outcome", outcome(res, err)),
+			trace.Int("checked", int64(res.Checked)))
+		var errMsg string
+		if err != nil {
+			errMsg = err.Error()
+		}
+		co.mu.Lock()
+		co.recordLocked(lr.Rect.ID, name, res, nil, errMsg)
+		co.mu.Unlock()
 	}
-	return res, err
+	return ctx.Err()
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"crncompose/internal/metrics"
-	"crncompose/internal/trace"
-)
+import "crncompose/internal/metrics"
 
 // distMetrics bundles the coordinator's observability families,
 // rendered by GET /metrics on the coordinator's own listener:
@@ -62,36 +59,10 @@ func newDistMetrics(reg *metrics.Registry) *distMetrics {
 	return m
 }
 
-// hookSpanCounters surfaces the tracer's recording activity as metrics:
-//
-//	crn_trace_spans_total          counter — spans recorded into the ring
-//	crn_trace_spans_dropped_total  counter — recordings that evicted an
-//	    older span (the ring overflowed; old traces may be incomplete)
-//
-// Registering the same family names on a shared registry is idempotent,
-// and SetOnSpan replaces any previous hook, so a coordinator sharing its
-// tracer and registry with a host process (serve does both) counts each
-// span exactly once. Nil-safe on both arguments.
-func hookSpanCounters(reg *metrics.Registry, tr *trace.Tracer) {
-	if reg == nil || tr == nil {
-		return
-	}
-	spans := reg.Counter("crn_trace_spans_total",
-		"Spans recorded into the trace ring buffer.")
-	droppedC := reg.Counter("crn_trace_spans_dropped_total",
-		"Span recordings that evicted an older span (ring overflow).")
-	tr.SetOnSpan(func(dropped bool) {
-		spans.Inc()
-		if dropped {
-			droppedC.Inc()
-		}
-	})
-}
-
-// syncRectsLocked recomputes the lease-table gauges from the states
-// slice. Caller holds co.mu. O(shards) per transition, and shards is
-// small by design (rectangles are the lease granularity, not the work
-// granularity).
+// syncRectsLocked recomputes the lease-table gauges and Progress's count
+// from the states slice. Caller holds co.mu. O(shards) per transition, and
+// shards is small by design (rectangles are the lease granularity, not the
+// work granularity).
 func (co *Coordinator) syncRectsLocked() {
 	var pending, leased, done int64
 	for id := range co.states {
@@ -107,4 +78,5 @@ func (co *Coordinator) syncRectsLocked() {
 	co.met.rectsPending.Set(pending)
 	co.met.rectsLeased.Set(leased)
 	co.met.rectsDone.Set(done)
+	co.doneRects = int(done)
 }

@@ -32,7 +32,13 @@
 //	GET  /job     → JobSpec    (the CRN text, function name, grid, budgets)
 //	POST /lease   LeaseRequest → LeaseResponse (a Rect under a TTL, or wait/done)
 //	POST /renew   RenewRequest → RenewResponse (heartbeat; false = lease lost)
-//	POST /result  ResultRequest → ResultResponse (a rectangle's GridResult)
+//	POST /result  ResultRequest → ResultResponse (a rectangle's GridResult; ack, or done)
+//
+// A worker names itself in GET /job?worker=name; a finished coordinator
+// answers every worker it has seen Done before it closes (Coordinator.Close).
+// Once its host ends joins for the next job on the address
+// (Coordinator.EndJoins), GET /job answers unseen workers 503, which they
+// retry.
 //
 // Workers resolve the function name themselves (the coordinator never ships
 // code), so coordinator and workers must agree on the function library —
@@ -160,7 +166,10 @@ type ResultRequest struct {
 // sides enforce it: the worker truncates, the coordinator ignores the rest).
 const maxShippedSpans = 64
 
-// ResultResponse acknowledges a result report.
+// ResultResponse acknowledges a result report. Done says the job is
+// finished, as a lease answer would, so the worker that posts the last
+// result exits on the ack (old workers ignore it and lease once more).
 type ResultResponse struct {
-	OK bool `json:"ok"`
+	OK   bool `json:"ok"`
+	Done bool `json:"done,omitempty"`
 }

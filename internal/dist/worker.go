@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
 	"sync"
@@ -148,7 +149,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		Tracer:      w.Tracer,
 	}
 	var job JobSpec
-	if err := joinC.GetJSON(ctx, base+"/job", &job); err != nil {
+	if err := joinC.GetJSON(ctx, base+"/job?worker="+url.QueryEscape(name), &job); err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -188,7 +189,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		Tracer:      w.Tracer,
 	}
 	var downSince time.Time
-	for {
+	for done := false; !done; {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -218,8 +219,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		switch {
 		case lr.Done:
-			w.logf("worker %s: job done", name)
-			return nil
+			done = true
+			continue
 		case lr.Rect == nil:
 			// An empty answer after a full long-poll window can be retried
 			// immediately — the coordinator just parked us for the window.
@@ -237,16 +238,19 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 		}
-		if err := w.checkRect(ctx, client, base, name, grace, c, f, rect, lr, opts); err != nil {
+		if done, err = w.checkRect(ctx, client, base, name, grace, c, f, rect, lr, opts); err != nil {
 			return err
 		}
 	}
+	w.logf("worker %s: job done", name)
+	return nil
 }
 
 // checkRect runs one leased rectangle with a heartbeat renewing the lease,
-// then reports the result. A result that cannot be delivered within Grace is
-// dropped: the lease expires and the rectangle is recomputed elsewhere.
-func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name string, grace time.Duration, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) error {
+// then reports the result; done is the ack saying the job is finished. A
+// result that cannot be delivered within Grace is dropped: the lease
+// expires and the rectangle is recomputed elsewhere.
+func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name string, grace time.Duration, c *crn.CRN, f reach.Func, rect Rect, lr LeaseResponse, opts []reach.Option) (bool, error) {
 	ttl := time.Duration(lr.TTLMillis) * time.Millisecond
 	// The lease response's traceparent stitches this rectangle into the
 	// trace that submitted the job: the rectangle-compute span is a child of
@@ -340,29 +344,22 @@ func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name 
 	// simply expires so the coordinator reassigns the rectangle elsewhere.
 	if ctx.Err() != nil {
 		rectSpan.End(time.Now(), trace.String("outcome", "canceled"))
-		return ctx.Err()
+		return false, ctx.Err()
 	}
 	if rctx.Err() != nil {
 		// Fenced out with AbortOnLeaseLoss: the rectangle belongs to another
 		// worker now, so abandon it and go lease the next one.
 		rectSpan.End(time.Now(), trace.String("outcome", "fenced"))
 		logf("worker %s: abandoned rect %d after lease loss", name, rect.ID)
-		return nil
+		return false, nil
 	}
-	outcome := "ok"
-	switch {
-	case rerr != nil:
-		outcome = "error"
-	case res.Failure != nil:
-		outcome = "failure"
-	}
-	rectSpan.End(time.Now(), trace.String("outcome", outcome),
+	rectSpan.End(time.Now(), trace.String("outcome", outcome(res, rerr)),
 		trace.Int("checked", int64(res.Checked)))
 
 	req := ResultRequest{Worker: name, RectID: rect.ID}
 	raw, err := json.Marshal(res)
 	if err != nil {
-		return fmt.Errorf("dist: encoding rect %d result: %w", rect.ID, err)
+		return false, fmt.Errorf("dist: encoding rect %d result: %w", rect.ID, err)
 	}
 	req.Result = raw
 	if rerr != nil {
@@ -398,11 +395,11 @@ func (w *Worker) checkRect(ctx context.Context, client *http.Client, base, name 
 	var ack ResultResponse
 	if err := resultC.PostJSON(trace.ContextSpan(ctx, rectSpan), base+"/result", req, &ack); err != nil {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return false, ctx.Err()
 		}
 		logf("worker %s: dropping result for rect %d (%v); lease will expire", name, rect.ID, err)
 	}
-	return nil
+	return ack.Done, nil
 }
 
 func (w *Worker) pollInterval() time.Duration {

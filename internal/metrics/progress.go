@@ -40,3 +40,20 @@ func (p *ProgressReporter) Report(e progress.Event) {
 	p.done.With(e.Stage).Set(e.Done)
 	p.total.With(e.Stage).Set(e.Total)
 }
+
+// SpanHook returns a trace.Tracer.SetOnSpan hook counting on r the spans
+// recorded into the ring (crn_trace_spans_total) and the recordings that
+// evicted an older one (crn_trace_spans_dropped_total). A tracer has one
+// hook, so its owner installs it.
+func SpanHook(r *Registry) func(dropped bool) {
+	spans := r.Counter("crn_trace_spans_total",
+		"Spans recorded into the trace ring buffer.")
+	droppedC := r.Counter("crn_trace_spans_dropped_total",
+		"Span recordings that evicted an older span (ring overflow).")
+	return func(dropped bool) {
+		spans.Inc()
+		if dropped {
+			droppedC.Inc()
+		}
+	}
+}

@@ -70,8 +70,9 @@ func (v Verdict) MarshalJSON() ([]byte, error) {
 
 // UnmarshalGridResult decodes the JSON wire form of a GridResult produced by
 // json.Marshal, rebinding any witness configuration to c (which must be the
-// CRN the result was computed for — species count is checked). Verdict.Err
-// comes back as a plain error carrying the original message.
+// CRN the result was computed for; a witness must fit c's species and
+// reactions, with nonnegative counts). Verdict.Err comes back as a plain
+// error carrying the original message.
 func UnmarshalGridResult(data []byte, c *crn.CRN) (GridResult, error) {
 	var w struct {
 		Checked      int `json:"checked"`
@@ -106,6 +107,16 @@ func decodeVerdict(w verdictJSON, c *crn.CRN) (Verdict, error) {
 		if len(w.Witness.Start) != c.NumSpecies() {
 			return Verdict{}, fmt.Errorf("reach: witness start has %d counts, CRN has %d species",
 				len(w.Witness.Start), c.NumSpecies())
+		}
+		for i, n := range w.Witness.Start {
+			if n < 0 {
+				return Verdict{}, fmt.Errorf("reach: witness start count %d of species %d is negative", n, i)
+			}
+		}
+		for step, ri := range w.Witness.Reactions {
+			if ri < 0 || ri >= len(c.Reactions) {
+				return Verdict{}, fmt.Errorf("reach: witness step %d fires reaction %d of %d", step, ri, len(c.Reactions))
+			}
 		}
 		v.Witness = &crn.Trace{
 			Start:     c.DenseConfig(w.Witness.Start),

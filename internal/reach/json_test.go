@@ -114,3 +114,32 @@ func TestUnmarshalGridResultBadWitness(t *testing.T) {
 		t.Fatal("truncated JSON accepted")
 	}
 }
+
+// TestUnmarshalGridResultWitnessOutOfRange rejects a witness that fits the
+// CRN's species count but not its tables — a reaction index outside the
+// CRN's reactions or a negative start count — instead of handing back a
+// trace whose String or Replay would index past them.
+func TestUnmarshalGridResultWitnessOutOfRange(t *testing.T) {
+	c := minCRN()
+	witness := func(start []int64, reactions []int) []byte {
+		w, err := json.Marshal(map[string]any{"start": start, "reactions": reactions})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []byte(`{"checked":1,"explored":2,"failure":{"input":[0,1],"want":0,` +
+			`"verdict":{"ok":false,"err":"x","witness":` + string(w) + `,"explored":2}}}`)
+	}
+	ok := make([]int64, c.NumSpecies())
+	if _, err := UnmarshalGridResult(witness(ok, []int{0}), c); err != nil {
+		t.Fatalf("well-formed witness rejected: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"reaction past the end": witness(ok, []int{0, len(c.Reactions)}),
+		"negative reaction":     witness(ok, []int{-1}),
+		"negative start count":  witness(append([]int64{-1}, ok[1:]...), []int{0}),
+	} {
+		if _, err := UnmarshalGridResult(data, c); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crncompose/internal/dist"
+	"crncompose/internal/metrics"
 	"crncompose/internal/reach"
 	"crncompose/internal/trace"
 )
@@ -27,9 +28,8 @@ import (
 // Every job runs under its own context (derived from the server's):
 // DELETE /v1/jobs/{id} cancels it, and the engine unwinds at its next
 // rectangle/chunk boundary, leaving the job in the terminal "canceled"
-// state with no partial result. Progress is reported in completed
-// rectangles — the same unit the distributed checker leases — with the
-// grid split exactly as a coordinator would split it.
+// state with no partial result. Every job is a dist.Coordinator (see
+// runGrid), so progress is counted in its completed rectangles.
 //
 // Terminal jobs (done, failed, canceled) are garbage-collected from the
 // table after Config.JobTTL. A done job's body survives in the response
@@ -56,9 +56,10 @@ func terminalState(state string) bool {
 
 // JobStatus is the status document of GET /v1/jobs/{id} (and the 202 body
 // of submissions). Progress is counted in completed grid rectangles.
-// Degraded is set when a dist handoff fell back to local execution
-// (DegradedReason says why); the result body is byte-identical either way,
-// so degradation is an operational signal, not a correctness one.
+// Degraded is set when the remaining rectangles of a dist handoff were
+// finished locally (DegradedReason says why); the body is byte-identical
+// either way, so degradation is an operational signal, not a correctness
+// one.
 type JobStatus struct {
 	ID             string `json:"id"`
 	State          string `json:"state"`
@@ -90,13 +91,12 @@ type asyncJob struct {
 	span        *trace.Span
 
 	state          string
-	rects          int
-	rectsDone      int
-	body           []byte    // finished /v1/check body (state == jobDone)
-	errMsg         string    // state == jobFailed or jobCanceled
-	degraded       bool      // dist handoff fell back to local execution
-	degradedReason string    // why (degraded only)
-	finishedAt     time.Time // when the job reached a terminal state (for GC)
+	co             *dist.Coordinator // the job's coordinator, once running; progress source
+	body           []byte            // finished /v1/check body (state == jobDone)
+	errMsg         string            // state == jobFailed or jobCanceled
+	degraded       bool              // remaining rectangles finished locally
+	degradedReason string            // why (degraded only)
+	finishedAt     time.Time         // when the job reached a terminal state (for GC)
 
 	done chan struct{}
 }
@@ -107,6 +107,12 @@ type jobTable struct {
 	jobs  map[string]*asyncJob
 	queue chan *asyncJob
 	now   func() time.Time // injectable for TTL tests
+	// addrJob is the last job whose coordinator listened on
+	// Config.DistCoordinator. That coordinator closes after the job ends,
+	// so every later submission ends its joins (the workers started for
+	// the new job wait for that job), and runGrid closes it before
+	// listening there once the job is over.
+	addrJob *asyncJob
 }
 
 func newJobTable() *jobTable {
@@ -155,6 +161,9 @@ func (jt *jobTable) getOrCreate(j *checkJob, s *Server, parent trace.SpanContext
 	select {
 	case jt.queue <- jb:
 		s.met.jobTransition("", jobQueued)
+		if jt.addrJob != nil {
+			jt.addrJob.co.EndJoins()
+		}
 	default:
 		jb.state = jobFailed
 		jb.errMsg = "job queue full"
@@ -173,17 +182,17 @@ func (jt *jobTable) get(id string) *asyncJob {
 	return jt.jobs[id]
 }
 
-// allTerminal reports whether every job in the table is in a terminal
-// state — the drain loop's exit condition.
-func (jt *jobTable) allTerminal() bool {
+// unfinished returns a job not yet in a terminal state, or nil once there
+// is none — the drain loop's exit condition.
+func (jt *jobTable) unfinished() *asyncJob {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
 	for _, jb := range jt.jobs {
 		if !terminalState(jb.state) {
-			return false
+			return jb
 		}
 	}
-	return true
+	return nil
 }
 
 // gc removes terminal jobs whose finishedAt is at least ttl old and
@@ -206,15 +215,17 @@ func (jt *jobTable) gc(now time.Time, ttl time.Duration) int {
 func (jb *asyncJob) statusDoc() JobStatus {
 	// jb.id and check are immutable; the rest is read under the table lock
 	// by the accessors below.
-	return JobStatus{
+	st := JobStatus{
 		ID:             jb.id,
 		State:          jb.state,
-		Rects:          jb.rects,
-		RectsDone:      jb.rectsDone,
 		Error:          jb.errMsg,
 		Degraded:       jb.degraded,
 		DegradedReason: jb.degradedReason,
 	}
+	if jb.co != nil {
+		st.RectsDone, st.Rects = jb.co.Progress()
+	}
+	return st
 }
 
 // status returns a consistent snapshot under the table lock.
@@ -275,7 +286,8 @@ func (s *Server) runJobs() {
 
 // runJob executes one job to a terminal state and publishes its body to the
 // response cache. A job canceled before or during execution lands in
-// "canceled" with no partial result.
+// "canceled" with no partial result. The job's coordinator closes only
+// after the body is out, so its drain never delays the result.
 func (s *Server) runJob(jb *asyncJob) {
 	// The serve.job span opens at the admission instant, so it covers queue
 	// wait plus execution; the admission child makes the wait visible on its
@@ -288,11 +300,7 @@ func (s *Server) runJob(jb *asyncJob) {
 	var err error
 	if err = jb.ctx.Err(); err == nil {
 		s.computed("job")
-		if s.cfg.DistCoordinator != "" {
-			body, err = s.runJobDist(jb)
-		} else {
-			body, err = s.runJobLocal(jb)
-		}
+		body, err = s.runGrid(jb)
 	}
 	s.jobs.mu.Lock()
 	from := jb.state
@@ -319,191 +327,120 @@ func (s *Server) runJob(jb *asyncJob) {
 	jb.cancel()
 	close(jb.done)
 	trace.Logf(s.logf, jb.span.Context())("job %.12s…: %s", jb.id, terminal)
+	if jb.co != nil { // set by this goroutine
+		jb.co.Close()
+	}
 }
 
-// runJobLocal checks the grid rectangle by rectangle on the in-process
-// engine, splitting exactly as a distributed coordinator would
-// (dist.SplitGrid) and merging with the same deterministic rule — counts
-// sum in grid order, the first rectangle with a failure contributes its
-// partial counts and stops the run — so the finished body is byte-identical
-// to the synchronous CheckGrid body (the dist subsystem's pinned
-// invariant), while progress advances a rectangle at a time. Each rectangle
-// runs under the job's context, so a DELETE lands within one chunk of work.
-func (s *Server) runJobLocal(jb *asyncJob) ([]byte, error) {
-	cc := jb.check.cc
-	shards := s.cfg.Shards
-	if shards < 1 {
-		shards = dist.DefaultShards
+// runGrid computes jb's grid through a dist.Coordinator whose spans join
+// jb's trace. A local job's coordinator keeps its registry and log private
+// (crn_dist_* and the lease log lines describe remote handoffs only, and
+// concurrent local jobs cannot overwrite each other's gauges) and an
+// in-process worker checks its rectangles. A dist job's coordinator serves
+// Config.DistCoordinator for `crncheck -join` workers; if it cannot start
+// there, or no rectangle completes for CoordinatorGrace, the job degrades
+// (unless the grace is negative): the listener closes, outstanding leases
+// are reclaimed, and the in-process worker finishes the remaining
+// rectangles. The body is the same bytes either way.
+func (s *Server) runGrid(jb *asyncJob) ([]byte, error) {
+	cc, addr := jb.check.cc, s.cfg.DistCoordinator
+	cfg := dist.CoordinatorConfig{
+		CRN: jb.check.c, Func: cc.Func, Lo: cc.Lo, Hi: cc.Hi,
+		MaxConfigs: cc.MaxConfigs, MaxCount: cc.MaxCount,
+		Shards: s.cfg.Shards, LeaseTTL: s.cfg.LeaseTTL,
+		Metrics: metrics.NewRegistry(),
+		Tracer:  s.tr, TraceContext: jb.span.Context(),
 	}
-	if n := jb.check.gridPoints(); int64(shards) > n {
-		shards = int(n)
+	if addr != "" {
+		cfg.Metrics, cfg.Logf = s.cfg.Metrics, s.cfg.Logf
 	}
-	rects := dist.SplitGrid(cc.Lo, cc.Hi, shards)
-	s.jobs.mu.Lock()
-	if jb.state != jobRunning { // a degraded job is already running
-		s.met.jobTransition(jb.state, jobRunning)
-		jb.state = jobRunning
-	}
-	jb.rects = len(rects)
-	s.jobs.mu.Unlock()
-
-	var out reach.GridResult
-	for _, r := range rects {
-		rectSpan := s.tr.StartSpan(time.Now(), "serve.rect", jb.span.Context(),
-			trace.Int("rect", int64(r.ID)))
-		rep, finish := s.reporterFor(rectSpan.Context())
-		res, err := reach.CheckRectCtx(jb.ctx, jb.check.c, jb.check.f, r.Lo, r.Hi,
-			reach.WithMaxConfigs(cc.MaxConfigs),
-			reach.WithMaxCount(cc.MaxCount),
-			reach.WithWorkers(s.cfg.Workers),
-			reach.WithProgress(rep))
-		finish()
-		if err != nil {
-			rectSpan.End(time.Now(), trace.String("outcome", "error"))
-			return nil, err
-		}
-		rectOutcome := "ok"
-		if res.Failure != nil {
-			rectOutcome = "failure"
-		}
-		rectSpan.End(time.Now(), trace.String("outcome", rectOutcome))
-		out.Checked += res.Checked
-		out.Inconclusive += res.Inconclusive
-		out.Explored += res.Explored
-		s.jobs.mu.Lock()
-		jb.rectsDone++
-		s.jobs.mu.Unlock()
-		if res.Failure != nil {
-			out.Failure = res.Failure
-			break
-		}
-	}
-	return reach.MarshalGridResultIndent(out)
-}
-
-// runJobDist hands the job to a dist coordinator listening on the
-// configured address; external workers (`crncheck -join addr`) do the
-// computation. The merged result is byte-identical to a local run by the
-// dist subsystem's determinism contract, so the finished body is the same
-// bytes either way. Waiting is bounded by the job's context: a DELETE
-// cancels the wait and shuts the coordinator down, letting workers see the
-// job disappear and exit.
-//
-// Two failure modes degrade to local execution instead of failing the job
-// (unless CoordinatorGrace is negative): the coordinator cannot start on
-// the configured address, or no rectangle completes for CoordinatorGrace —
-// the coordinator is up but its workers are dead, wedged, or never joined.
-// Either way the caller still gets the exact bytes a healthy handoff would
-// have produced, plus a degraded marker in the job status.
-func (s *Server) runJobDist(jb *asyncJob) ([]byte, error) {
-	cc := jb.check.cc
-	grace := s.cfg.CoordinatorGrace
-	co, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		CRN:        jb.check.c,
-		Func:       cc.Func,
-		Lo:         cc.Lo,
-		Hi:         cc.Hi,
-		MaxConfigs: cc.MaxConfigs,
-		MaxCount:   cc.MaxCount,
-		Shards:     s.cfg.Shards,
-		LeaseTTL:   s.cfg.LeaseTTL,
-		Logf:       s.cfg.Logf,
-		Metrics:    s.cfg.Metrics,
-		// The coordinator shares this server's tracer and parents its
-		// dist.job span under the serve.job span, so /debug/traces here
-		// shows one trace from the submitting request through the workers'
-		// rectangle spans (shipped back with their results).
-		Tracer:       s.tr,
-		TraceContext: jb.span.Context(),
-	})
+	co, err := dist.NewCoordinator(cfg)
 	if err != nil {
-		// A coordinator the job spec itself cannot configure would fail the
-		// same way locally; nothing to degrade to.
 		return nil, err
 	}
-	if err := co.Start(s.cfg.DistCoordinator); err != nil {
-		if grace < 0 {
-			return nil, fmt.Errorf("starting coordinator on %s: %w", s.cfg.DistCoordinator, err)
+	var reason string
+	if addr != "" {
+		s.jobs.mu.Lock()
+		prev := s.jobs.addrJob
+		over := prev != nil && (terminalState(prev.state) || prev.co.Changed() == nil)
+		s.jobs.mu.Unlock()
+		if over {
+			prev.co.Close()
 		}
-		return s.degradeJob(jb, fmt.Sprintf("coordinator could not start on %s: %v", s.cfg.DistCoordinator, err))
+		if err := co.Start(addr); err != nil {
+			if s.cfg.CoordinatorGrace < 0 {
+				return nil, fmt.Errorf("starting coordinator on %s: %w", addr, err)
+			}
+			reason = fmt.Sprintf("coordinator could not start on %s: %v", addr, err)
+		}
 	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = co.Shutdown(sctx)
-	}()
-	_, total := co.Progress()
 	s.jobs.mu.Lock()
 	s.met.jobTransition(jb.state, jobRunning)
-	jb.state = jobRunning
-	jb.rects = total
+	jb.state, jb.co = jobRunning, co
+	if co.Addr() != nil {
+		s.jobs.addrJob = jb
+	}
 	s.jobs.mu.Unlock()
-
-	// The wait runs under its own cancel so the stall watchdog below can
-	// abandon the handoff without canceling the job itself.
-	wctx, wcancel := context.WithCancel(jb.ctx)
-	defer wcancel()
-	waitDone := make(chan struct{})
-	var res reach.GridResult
-	var werr error
-	go func() {
-		res, werr = co.Wait(wctx)
-		close(waitDone)
-	}()
-	t := time.NewTicker(200 * time.Millisecond)
-	defer t.Stop()
-	lastDone := 0
-	lastChange := time.Now()
-	for {
-		select {
-		case <-waitDone:
-			if werr != nil {
-				return nil, werr
-			}
+	if addr != "" && reason == "" {
+		reason = s.watchHandoff(jb, co)
+	}
+	if addr == "" || reason != "" {
+		var sp *trace.Span
+		if reason != "" {
+			trace.Logf(s.logf, jb.span.Context())("job %.12s…: finishing the remaining rectangles locally: %s", jb.id, reason)
+			s.met.degraded()
 			s.jobs.mu.Lock()
-			jb.rectsDone = total
+			jb.degraded, jb.degradedReason = true, reason
 			s.jobs.mu.Unlock()
-			// Linger one poll cycle so workers observe Done (as dist.Run does).
-			time.Sleep(200 * time.Millisecond)
-			return reach.MarshalGridResultIndent(res)
-		case <-t.C:
-			done, _ := co.Progress()
-			if done != lastDone {
-				lastDone = done
-				lastChange = time.Now()
-			}
-			s.jobs.mu.Lock()
-			jb.rectsDone = done
-			s.jobs.mu.Unlock()
-			if grace > 0 && time.Since(lastChange) >= grace && jb.ctx.Err() == nil {
-				wcancel()
-				sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-				_ = co.Shutdown(sctx)
-				cancel()
-				return s.degradeJob(jb, fmt.Sprintf("no rectangle completed for %s (%d/%d done); workers presumed lost", grace, done, total))
-			}
+			sp = s.tr.StartSpan(time.Now(), "serve.degrade", jb.span.Context(), trace.String("reason", reason))
+		}
+		err := co.Work(jb.ctx, "crnserve", func(ctx context.Context, r dist.Rect) (reach.GridResult, error) {
+			rep, finish := s.reporterFor(trace.FromContext(ctx)) // under the dist.rect span
+			defer finish()
+			return reach.CheckRectCtx(ctx, jb.check.c, jb.check.f, r.Lo, r.Hi,
+				reach.WithMaxConfigs(cc.MaxConfigs),
+				reach.WithMaxCount(cc.MaxCount),
+				reach.WithWorkers(s.cfg.Workers),
+				reach.WithProgress(rep))
+		})
+		sp.End(time.Now())
+		if err != nil {
+			return nil, err
 		}
 	}
+	res, err := co.Wait(jb.ctx)
+	if err != nil {
+		return nil, err
+	}
+	return reach.MarshalGridResultIndent(res)
 }
 
-// degradeJob falls back to local execution after a failed or stalled dist
-// handoff: progress restarts from zero (the split is recomputed, though it
-// is the same split), the job's status carries the degraded marker, and the
-// body comes out byte-identical by the determinism contract shared between
-// runJobLocal and the coordinator's merge.
-func (s *Server) degradeJob(jb *asyncJob, reason string) ([]byte, error) {
-	trace.Logf(s.logf, jb.span.Context())("job %.12s…: degrading to local execution: %s", jb.id, reason)
-	s.met.degraded()
-	s.jobs.mu.Lock()
-	jb.degraded = true
-	jb.degradedReason = reason
-	jb.rectsDone = 0
-	s.jobs.mu.Unlock()
-	sp := s.tr.StartSpan(time.Now(), "serve.degrade", jb.span.Context(),
-		trace.String("reason", reason))
-	body, err := s.runJobLocal(jb)
-	sp.End(time.Now())
-	return body, err
+// watchHandoff waits for remote workers to finish co's grid, restarting
+// the CoordinatorGrace window at every recorded rectangle. When a window
+// passes with none it closes co — which reclaims the outstanding leases —
+// and returns the degrade reason; it returns "" once the grid is
+// finished or the job canceled.
+func (s *Server) watchHandoff(jb *asyncJob, co *dist.Coordinator) string {
+	grace := s.cfg.CoordinatorGrace
+	t := time.NewTimer(grace)
+	defer t.Stop()
+	stall := t.C
+	if grace <= 0 {
+		stall = nil // fallback disabled
+	}
+	for changed := co.Changed(); changed != nil; changed = co.Changed() {
+		select {
+		case <-jb.ctx.Done():
+			return ""
+		case <-changed:
+			t.Reset(grace)
+		case <-stall:
+			co.Close() // unfinished: no drain, just the shutdown
+			done, total := co.Progress()
+			return fmt.Sprintf("no rectangle completed for %s (%d/%d done); workers presumed lost", grace, done, total)
+		}
+	}
+	return ""
 }
 
 // handleJobSubmit serves POST /v1/jobs: the body is a CheckRequest; the

@@ -159,28 +159,6 @@ func (s *Server) reporterFor(parent trace.SpanContext) (rep progress.Reporter, f
 	return progress.Multi(base, tp), func() { tp.Finish(time.Now()) }
 }
 
-// hookSpanCounters surfaces the tracer's recording activity on the scrape:
-// crn_trace_spans_total counts spans recorded into the ring,
-// crn_trace_spans_dropped_total the recordings that evicted an older span.
-// Same families and same replace-not-append SetOnSpan semantics as the dist
-// coordinator's hook, so sharing one tracer and registry between serve and
-// an in-process coordinator counts each span exactly once. Nil-safe.
-func hookSpanCounters(reg *metrics.Registry, tr *trace.Tracer) {
-	if reg == nil || tr == nil {
-		return
-	}
-	spans := reg.Counter("crn_trace_spans_total",
-		"Spans recorded into the trace ring buffer.")
-	droppedC := reg.Counter("crn_trace_spans_dropped_total",
-		"Span recordings that evicted an older span (ring overflow).")
-	tr.SetOnSpan(func(dropped bool) {
-		spans.Inc()
-		if dropped {
-			droppedC.Inc()
-		}
-	})
-}
-
 // statusRecorder captures the status code written by a handler for
 // the request counter.
 type statusRecorder struct {

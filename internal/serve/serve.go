@@ -43,16 +43,15 @@
 // Grids of at most Config.SyncGridLimit points are checked on the request
 // path under the server-owned worker budget. Larger grids become jobs
 // (202 + job id): executed off the request path — up to Config.MaxJobs
-// concurrently, each under its own cancellable context — either
-// rectangle-by-rectangle on the local steal-pool engine or — when
-// Config.DistCoordinator is set — by starting an internal/dist coordinator
-// on that address and letting external `crncheck -join` workers compute the
-// rectangles, which makes the distributed subsystem reachable from a single
-// user-facing API. A dist handoff that cannot start, or stalls past
-// Config.CoordinatorGrace with workers dead or absent, degrades gracefully:
-// the job falls back to local execution (same split, same deterministic
-// merge, byte-identical body) with a "degraded" marker in its status
-// instead of failing. DELETE /v1/jobs/{id} cancels a job; on SIGTERM the
+// concurrently, each under its own cancellable context — by an
+// internal/dist coordinator whose rectangles an in-process worker checks
+// on the local steal-pool engine, or — when Config.DistCoordinator is set
+// — external `crncheck -join` workers joining it on that address, which
+// makes the distributed subsystem reachable from a single user-facing API.
+// A dist handoff that cannot start, or stalls past Config.CoordinatorGrace
+// with workers dead or absent, degrades gracefully: the in-process worker
+// finishes the remaining rectangles, byte-identical body, and the status
+// says "degraded". DELETE /v1/jobs/{id} cancels a job; on SIGTERM the
 // server drains (Drain): admission closes, in-flight jobs finish (or are
 // canceled at the drain deadline), and the process exits cleanly.
 package serve
@@ -127,13 +126,13 @@ type Config struct {
 	LeaseTTL time.Duration
 	// CoordinatorGrace governs graceful degradation of the dist handoff: if
 	// the coordinator cannot start on DistCoordinator, or no rectangle
-	// completes for this long mid-job (workers dead or never joined), the
-	// job falls back to local rectangle-by-rectangle execution — same split,
-	// same deterministic merge, byte-identical body — and its status carries
-	// a degraded marker instead of failing. Must exceed the worst-case time
-	// a single rectangle takes under the configured shard count. 0 means
-	// DefaultCoordinatorGrace; negative disables degradation (a failed
-	// handoff fails the job).
+	// completes for this long mid-job (workers dead or never joined), an
+	// in-process worker finishes the rectangles not yet done — same
+	// coordinator, same deterministic merge, byte-identical body — and the
+	// status carries a degraded marker instead of failing. Must exceed the
+	// worst-case time a single rectangle takes under the configured shard
+	// count. 0 means DefaultCoordinatorGrace; negative disables degradation
+	// (a failed handoff fails the job).
 	CoordinatorGrace time.Duration
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -212,7 +211,9 @@ func New(cfg Config) *Server {
 		tr:    cfg.Tracer,
 	}
 	s.cache.register(cfg.Metrics)
-	hookSpanCounters(cfg.Metrics, s.tr)
+	if s.tr != nil {
+		s.tr.SetOnSpan(metrics.SpanHook(cfg.Metrics))
+	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	go s.runJobs()
 	if cfg.JobTTL > 0 {
@@ -677,16 +678,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.logf("drain: admission closed; awaiting jobs")
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
 wait:
-	for !s.jobs.allTerminal() {
+	for jb := s.jobs.unfinished(); jb != nil; jb = s.jobs.unfinished() {
 		select {
 		case <-ctx.Done():
 			s.logf("drain: deadline reached; canceling remaining jobs")
 			s.cancel()
 			break wait
-		case <-tick.C:
+		case <-jb.done:
 		}
 	}
 	// Await the runner goroutines (bounded: a canceled engine returns within
